@@ -5,8 +5,6 @@ use comet_core::{precision, ExplainConfig, Explainer};
 use comet_isa::{parse_block, Microarch};
 use comet_models::CrudeModel;
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const SMALL: &str = "add rcx, rax\nmov rdx, rcx\npop rbx";
 const CASE2: &str =
@@ -20,10 +18,7 @@ fn bench_explain(c: &mut Criterion) {
         let block = parse_block(text).unwrap();
         let explainer = Explainer::new(CrudeModel::new(Microarch::Haswell), config);
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                explainer.explain(std::hint::black_box(&block), &mut rng)
-            })
+            b.iter(|| explainer.explain(std::hint::black_box(&block), 7))
         });
     }
     group.finish();

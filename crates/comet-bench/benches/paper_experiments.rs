@@ -8,8 +8,6 @@ use comet_core::{ground_truth, is_accurate, ExplainConfig, Explainer};
 use comet_isa::{parse_block, Microarch};
 use comet_models::{mape, CostModel, CrudeModel, UicaSurrogate};
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn mini_config() -> ExplainConfig {
     ExplainConfig { coverage_samples: 200, max_samples: 200, ..ExplainConfig::for_crude_model() }
@@ -23,12 +21,12 @@ fn bench_table2(c: &mut Criterion) {
     c.bench_function("paper/table2_accuracy_pipeline", |b| {
         b.iter(|| {
             let explainer = Explainer::new(crude, mini_config());
-            let mut rng = StdRng::seed_from_u64(1);
             corpus
                 .iter()
-                .filter(|entry| {
+                .enumerate()
+                .filter(|(i, entry)| {
                     let gt = ground_truth(&crude, &entry.block);
-                    let e = explainer.explain(&entry.block, &mut rng).unwrap();
+                    let e = explainer.explain(&entry.block, 1 + *i as u64).unwrap();
                     is_accurate(&e.features, &gt)
                 })
                 .count()
@@ -49,8 +47,7 @@ fn bench_table3(c: &mut Criterion) {
                 ..ExplainConfig::for_throughput_model()
             };
             let explainer = Explainer::new(&uica, config);
-            let mut rng = StdRng::seed_from_u64(2);
-            let e = explainer.explain(std::hint::black_box(&block), &mut rng).unwrap();
+            let e = explainer.explain(std::hint::black_box(&block), 2).unwrap();
             (e.precision, e.coverage)
         })
     });
@@ -86,10 +83,10 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| {
             let config = ExplainConfig { delta: 0.2, ..mini_config() };
             let explainer = Explainer::new(crude, config);
-            let mut rng = StdRng::seed_from_u64(3);
             corpus
                 .iter()
-                .map(|e| explainer.explain(&e.block, &mut rng).unwrap().precision)
+                .enumerate()
+                .map(|(i, e)| explainer.explain(&e.block, 3 + i as u64).unwrap().precision)
                 .sum::<f64>()
         })
     });

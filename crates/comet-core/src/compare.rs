@@ -4,9 +4,9 @@
 
 use comet_isa::BasicBlock;
 use comet_models::CostModel;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::bitset::splitmix64;
 use crate::explain::{ExplainConfig, ExplainError, Explainer, Explanation};
 use crate::feature::{FeatureKind, FeatureSet};
 
@@ -77,29 +77,32 @@ impl ComparisonReport {
 }
 
 /// Explain every block under both models and collect the comparison.
+/// Both models explain block `i` with the same search seed,
+/// `splitmix64(seed ^ i)`, so their explanations differ only where the
+/// models do.
 ///
 /// Fails with the first [`ExplainError`] encountered: a comparison with
 /// a hole in it would silently bias the aggregate agreement metrics, so
 /// callers that want partial results should compare block-by-block and
 /// skip failures explicitly.
-pub fn compare_models<A, B, R>(
+pub fn compare_models<A, B>(
     model_a: &A,
     model_b: &B,
     blocks: &[BasicBlock],
     config: ExplainConfig,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<ComparisonReport, ExplainError>
 where
-    A: CostModel,
-    B: CostModel,
-    R: Rng,
+    A: CostModel + Sync,
+    B: CostModel + Sync,
 {
     let explainer_a = Explainer::new(model_a, config);
     let explainer_b = Explainer::new(model_b, config);
     let mut comparisons = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let explanation_a = explainer_a.explain(block, rng)?;
-        let explanation_b = explainer_b.explain(block, rng)?;
+    for (i, block) in blocks.iter().enumerate() {
+        let block_seed = splitmix64(seed ^ i as u64);
+        let explanation_a = explainer_a.explain(block, block_seed)?;
+        let explanation_b = explainer_b.explain(block, block_seed)?;
         comparisons.push(BlockComparison {
             block: block.to_string(),
             prediction_a: explanation_a.prediction,
@@ -119,8 +122,6 @@ where
 mod tests {
     use super::*;
     use comet_isa::parse_block;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     struct LengthModel;
 
@@ -163,8 +164,7 @@ mod tests {
         let blocks =
             vec![parse_block("mov ecx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nimul rax, rcx")
                 .unwrap()];
-        let mut rng = StdRng::seed_from_u64(0);
-        let report = compare_models(&LengthModel, &DivModel, &blocks, config(), &mut rng).unwrap();
+        let report = compare_models(&LengthModel, &DivModel, &blocks, config(), 0).unwrap();
         assert_eq!(report.blocks.len(), 1);
         assert!(report.blocks[0].granularity_disagreement());
         assert_eq!(report.granularity_disagreements().count(), 1);
@@ -174,9 +174,7 @@ mod tests {
     #[test]
     fn identical_models_agree() {
         let blocks = vec![parse_block("add rcx, rax\nmov rdx, rcx").unwrap()];
-        let mut rng = StdRng::seed_from_u64(1);
-        let report =
-            compare_models(&LengthModel, &LengthModel, &blocks, config(), &mut rng).unwrap();
+        let report = compare_models(&LengthModel, &LengthModel, &blocks, config(), 1).unwrap();
         assert_eq!(report.mean_agreement(), 1.0);
         assert_eq!(report.granularity_disagreements().count(), 0);
     }
@@ -193,8 +191,7 @@ mod tests {
             }
         }
         let blocks = vec![parse_block("add rcx, rax").unwrap()];
-        let mut rng = StdRng::seed_from_u64(2);
-        let result = compare_models(&LengthModel, &BrokenModel, &blocks, config(), &mut rng);
+        let result = compare_models(&LengthModel, &BrokenModel, &blocks, config(), 2);
         assert!(matches!(result, Err(ExplainError::Model(_))));
     }
 

@@ -3,13 +3,17 @@
 //! Bernoulli bounds and coverage estimated empirically over a shared
 //! pool of unconstrained perturbations.
 //!
+//! There is one search, [`Explainer::explain_batched`]; an explanation
+//! is a pure function of `(block, seed, config)` for a deterministic
+//! model, whatever [`BatchExec`] runs it. [`Explainer::explain`] is the
+//! same search on the calling thread alone.
+//!
 //! The model is treated as an untrusted black box: every query goes
 //! through [`CostModel::try_predict`], individual query failures are
 //! tolerated (the sample is skipped, the fault counted, the budget
 //! charged), and [`Explainer::explain`] returns a typed
 //! [`ExplainError`] only when no explanation can be produced at all.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
@@ -20,7 +24,7 @@ use std::time::Instant;
 use comet_isa::BasicBlock;
 use comet_models::{CostModel, ModelError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::bitset::{splitmix64, FeatureMask};
@@ -352,321 +356,6 @@ impl<M: CostModel> Explainer<M> {
     pub fn config(&self) -> &ExplainConfig {
         &self.config
     }
-
-    /// Explain the model's prediction for `block` (paper Figure 1).
-    ///
-    /// Model failures on perturbed samples are tolerated: the sample is
-    /// skipped, counted in [`Explanation::faults`], and charged against
-    /// [`ExplainConfig::max_total_queries`]. An error is returned only
-    /// when the model fails on the original block itself
-    /// ([`ExplainError::Model`]) or the block has no features
-    /// ([`ExplainError::NoFeatures`]).
-    pub fn explain<R: Rng>(
-        &self,
-        block: &BasicBlock,
-        rng: &mut R,
-    ) -> Result<Explanation, ExplainError> {
-        let start = Instant::now();
-        let perturber = Perturber::new(block, self.config.perturb);
-        let pool = perturber.pool();
-        let queries = Cell::new(0u64);
-        let faults = Cell::new(0u64);
-        let resilience_before = self.model.resilience().unwrap_or_default();
-
-        queries.set(queries.get() + 1);
-        let prediction = self.model.try_predict(block).map_err(ExplainError::Model)?;
-
-        // Shared sampling scratch: one set of perturbation buffers
-        // serves every model query this explanation makes. RefCell
-        // because the sampling closure below is shared across the
-        // search loops; borrows never overlap (sampling is strictly
-        // sequential).
-        let scratch = RefCell::new(perturber.make_scratch());
-        let empty_mask = pool.empty_mask();
-
-        // Shared coverage pool: surviving feature masks of
-        // unconstrained perturbations (no model queries needed). A flat
-        // `Vec` of bitmasks — coverage counting over it is a bitwise
-        // AND-compare per entry instead of a `BTreeSet` subset walk.
-        let coverage_pool: Vec<FeatureMask> = {
-            let mut s = scratch.borrow_mut();
-            (0..self.config.coverage_samples)
-                .map(|_| {
-                    perturber.perturb_into(&empty_mask, rng, &mut s);
-                    s.surviving().clone()
-                })
-                .collect()
-        };
-        let coverage_of = |features: &FeatureMask| -> f64 {
-            let hits = coverage_pool.iter().filter(|s| features.is_subset(s)).count();
-            hits as f64 / coverage_pool.len().max(1) as f64
-        };
-
-        let n_features = pool.len();
-        if n_features == 0 {
-            return Err(ExplainError::NoFeatures);
-        }
-
-        // One precision sample: query the model on a perturbation. A
-        // failed query is charged to the budget and counted as a fault
-        // but contributes no evidence (skipping keeps the Bernoulli
-        // estimate unbiased; the budget charge guarantees termination
-        // even against a model that always fails). Once the budget is
-        // exhausted the sampler is a no-op, so `queries` never exceeds
-        // `max_total_queries`. The whole path is allocation-free: the
-        // perturbed block is written into the shared scratch.
-        let sample = |candidate: &mut Candidate, rng: &mut R| {
-            if queries.get() >= self.config.max_total_queries {
-                return;
-            }
-            let mut s = scratch.borrow_mut();
-            perturber.perturb_into(&candidate.features, rng, &mut s);
-            queries.set(queries.get() + 1);
-            match self.model.try_predict(s.block()) {
-                // Open ε-ball: with quantized cost models (the crude
-                // model moves in exact quarter-cycle steps) an
-                // inclusive bound would admit genuinely changed
-                // predictions.
-                Ok(cost) => candidate.est.update((cost - prediction).abs() < self.config.epsilon),
-                Err(_) => faults.set(faults.get() + 1),
-            }
-        };
-
-        let threshold = self.config.threshold();
-        let mut beam: Vec<Candidate> = Vec::new();
-        let mut best_overall: Option<(FeatureMask, f64)> = None;
-        // Outcome of the beam search: (features, precision, anchored).
-        let mut outcome: Option<(FeatureMask, f64, bool)> = None;
-        let budget_left = |queries: &Cell<u64>| queries.get() < self.config.max_total_queries;
-        // Scratch for `lucb_select`, reused across rounds and levels.
-        let mut order_buf: Vec<usize> = Vec::new();
-        let mut bounds_buf: Vec<f64> = Vec::new();
-
-        'levels: for level in 1..=self.config.max_features {
-            // Build this level's candidates. Dedup hashes fixed-width
-            // masks (two words inline), not heap sets.
-            let mut seen: HashSet<FeatureMask> = HashSet::new();
-            let mut candidates: Vec<Candidate> = Vec::new();
-            if level == 1 {
-                for f in 0..n_features {
-                    let mut set = empty_mask.clone();
-                    set.insert(f);
-                    if seen.insert(set.clone()) {
-                        candidates.push(Candidate { features: set, est: Default::default() });
-                    }
-                }
-            } else {
-                for parent in &beam {
-                    for f in 0..n_features {
-                        if parent.features.contains(f) {
-                            continue;
-                        }
-                        let mut set = parent.features.clone();
-                        set.insert(f);
-                        if seen.insert(set.clone()) {
-                            candidates.push(Candidate { features: set, est: Default::default() });
-                        }
-                    }
-                }
-            }
-            if candidates.is_empty() {
-                break;
-            }
-
-            // Initial sampling.
-            for candidate in &mut candidates {
-                for _ in 0..self.config.init_samples {
-                    sample(candidate, rng);
-                }
-            }
-            if !budget_left(&queries) {
-                for candidate in &candidates {
-                    let mean = candidate.est.mean();
-                    if best_overall.as_ref().is_none_or(|(_, p)| mean > *p) {
-                        best_overall = Some((candidate.features.clone(), mean));
-                    }
-                }
-                break 'levels;
-            }
-
-            // LUCB refinement of the top-k boundary.
-            let k = self.config.beam_width.min(candidates.len());
-            let mut round: u64 = 1;
-            loop {
-                let beta = exploration_beta(round, candidates.len(), self.config.confidence);
-                let (weakest_in, strongest_out, gap) =
-                    lucb_select(&candidates, k, beta, &mut order_buf, &mut bounds_buf);
-                let budget_left_global = budget_left(&queries);
-                let budget_left = candidates[weakest_in].est.samples
-                    < self.config.max_samples as u64
-                    || strongest_out.is_some_and(|v| {
-                        candidates[v].est.samples < self.config.max_samples as u64
-                    });
-                if gap <= self.config.tolerance || !budget_left || !budget_left_global {
-                    break;
-                }
-                for _ in 0..self.config.batch_size {
-                    if candidates[weakest_in].est.samples < self.config.max_samples as u64 {
-                        sample(&mut candidates[weakest_in], rng);
-                    }
-                    if let Some(v) = strongest_out {
-                        if candidates[v].est.samples < self.config.max_samples as u64 {
-                            sample(&mut candidates[v], rng);
-                        }
-                    }
-                }
-                round += 1;
-            }
-
-            // Track the best-precision candidate seen anywhere.
-            for candidate in &candidates {
-                let mean = candidate.est.mean();
-                if best_overall.as_ref().is_none_or(|(_, p)| mean > *p) {
-                    best_overall = Some((candidate.features.clone(), mean));
-                }
-            }
-
-            // Confirmation pass: candidates whose point estimate clears
-            // the threshold are sampled until their lower bound either
-            // confirms the anchor or the estimate falls below the
-            // threshold (Anchors' `lb > τ - tolerance` check needs
-            // enough samples to be meaningful).
-            for candidate in &mut candidates {
-                loop {
-                    let beta = exploration_beta(
-                        round,
-                        self.config.beam_width.max(1),
-                        self.config.confidence,
-                    );
-                    if candidate.est.mean() < threshold
-                        || candidate.est.lcb(beta) >= threshold - self.config.tolerance
-                        || candidate.est.samples >= self.config.max_samples as u64
-                        || !budget_left(&queries)
-                    {
-                        break;
-                    }
-                    for _ in 0..self.config.batch_size {
-                        sample(candidate, rng);
-                    }
-                }
-            }
-
-            // Anchors at this level: precision estimate over threshold
-            // with a confident lower bound (same exploration rate as the
-            // confirmation pass).
-            let beta =
-                exploration_beta(round, self.config.beam_width.max(1), self.config.confidence);
-            let anchors: Vec<&Candidate> = candidates
-                .iter()
-                .filter(|c| {
-                    c.est.mean() >= threshold
-                        && c.est.lcb(beta) >= threshold - self.config.tolerance
-                })
-                .collect();
-            if !anchors.is_empty() {
-                // Coverage is monotone decreasing in |F|, so the first
-                // level with an anchor holds the max-coverage anchor.
-                let best = anchors
-                    .into_iter()
-                    .map(|c| {
-                        let cov = coverage_of(&c.features);
-                        (c, cov)
-                    })
-                    .max_by(|(_, ca), (_, cb)| ca.total_cmp(cb))
-                    // Invariant: guarded by `!anchors.is_empty()`.
-                    .expect("non-empty anchors");
-                // Greedy minimization: borderline singletons can miss
-                // their own level by sampling noise, leaving a redundant
-                // feature in the anchor. Try dropping each feature and
-                // keep any subset that still confirms the threshold
-                // (strictly improving coverage).
-                let mut features = best.0.features.clone();
-                let mut precision = best.0.est.mean();
-                let mut improved = true;
-                while improved && features.len() > 1 {
-                    improved = false;
-                    // Ascending-bit order is the features' `Ord` order,
-                    // so the drop sequence (and hence RNG consumption)
-                    // matches the former `BTreeSet` iteration exactly.
-                    let snapshot = features.clone();
-                    for feature in snapshot.iter() {
-                        let mut subset = features.clone();
-                        subset.remove(feature);
-                        let mut candidate =
-                            Candidate { features: subset.clone(), est: Default::default() };
-                        let b = exploration_beta(
-                            round,
-                            self.config.beam_width.max(1),
-                            self.config.confidence,
-                        );
-                        while candidate.est.samples < self.config.max_samples as u64
-                            && budget_left(&queries)
-                        {
-                            sample(&mut candidate, rng);
-                            if candidate.est.samples >= self.config.init_samples as u64
-                                && candidate.est.ucb(b) < threshold
-                            {
-                                break;
-                            }
-                        }
-                        let est = candidate.est;
-                        if est.mean() >= threshold
-                            && est.lcb(b) >= threshold - self.config.tolerance
-                        {
-                            features = subset;
-                            precision = est.mean();
-                            improved = true;
-                            break;
-                        }
-                    }
-                }
-                outcome = Some((features, precision, true));
-                break 'levels;
-            }
-
-            // No anchor yet: carry the beam to the next level.
-            let mut order: Vec<usize> = (0..candidates.len()).collect();
-            order.sort_by(|&a, &b| candidates[b].est.mean().total_cmp(&candidates[a].est.mean()));
-            order.truncate(self.config.beam_width);
-            let mut next_beam = Vec::new();
-            let mut taken: HashSet<usize> = order.iter().copied().collect();
-            for (i, candidate) in candidates.into_iter().enumerate() {
-                if taken.remove(&i) {
-                    next_beam.push(candidate);
-                }
-            }
-            beam = next_beam;
-        }
-
-        // Either an anchor was found, or we report the best effort.
-        let (features, precision, anchored) = match outcome {
-            Some(found) => found,
-            // Invariant: level 1 always has candidates (`all_features`
-            // is non-empty), and both exits of the level loop record
-            // every level-1 candidate into `best_overall` first.
-            None => {
-                let (features, precision) =
-                    best_overall.expect("at least one candidate was evaluated");
-                (features, precision, false)
-            }
-        };
-        let coverage = coverage_of(&features);
-        let resilience_after = self.model.resilience().unwrap_or_default();
-        let retries = resilience_after.retries.saturating_sub(resilience_before.retries);
-        let degraded = faults.get() > 0 || resilience_after.degraded;
-        Ok(Explanation {
-            features: pool.set_of(&features),
-            precision,
-            coverage,
-            prediction,
-            anchored,
-            queries: queries.get(),
-            faults: faults.get(),
-            retries,
-            degraded,
-            duration_secs: start.elapsed().as_secs_f64(),
-        })
-    }
 }
 
 /// Execution resources for [`Explainer::explain_batched`]: a persistent
@@ -703,8 +392,8 @@ const PROBE_INTERVAL_SKEWED: u64 = 256;
 impl BatchExec {
     /// A batch executor issuing model batches of up to `batch` blocks
     /// across `workers` pool workers (both clamped to at least 1).
-    /// `BatchExec::new(1, 1)` is the scalar reference configuration:
-    /// single-item batches on the calling thread only.
+    /// `BatchExec::new(1, 1)` runs single-item batches on the calling
+    /// thread only; it spawns no threads.
     pub fn new(batch: usize, workers: usize) -> BatchExec {
         BatchExec {
             pool: WorkerPool::new(workers),
@@ -840,7 +529,7 @@ impl Round {
 
     /// Plan up to `wanted` draws for `mask`, clipped by the remaining
     /// global query budget (each planned draw charges one query, fault
-    /// or not — same accounting as the scalar path). Every draw gets a
+    /// or not). Every draw gets a
     /// counter-derived RNG seed
     /// `splitmix64(splitmix64(seed ^ stable_hash(mask)) ^ index)` where
     /// `index` is the mask's lifetime draw counter — so the stream a
@@ -896,35 +585,39 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl<M: CostModel + Sync> Explainer<M> {
-    /// Explain `block` through the batched, multi-worker search path.
+    /// Explain the model's prediction for `block` (paper Figure 1) on
+    /// the calling thread: [`Explainer::explain_batched`] at
+    /// `BatchExec::new(1, 1)`, which spawns no threads.
+    pub fn explain(&self, block: &BasicBlock, seed: u64) -> Result<Explanation, ExplainError> {
+        self.explain_batched(block, seed, &BatchExec::new(1, 1))
+    }
+
+    /// Explain `block`: Anchors beam search with KL-LUCB bounds, with
+    /// model queries evaluated in batches of up to
+    /// [`BatchExec::batch`] blocks via [`CostModel::predict_batch`],
+    /// fanned across the executor's worker pool. The KL-LUCB budget
+    /// decisions are made at *round* granularity: every round's draws
+    /// are planned (and charged) before dispatch, and the bounds
+    /// observe `batch_size` fresh samples at a time.
     ///
-    /// Same search as [`Explainer::explain`] — Anchors beam search with
-    /// KL-LUCB bounds — but model queries are evaluated in batches of
-    /// up to [`BatchExec::batch`] blocks via
-    /// [`CostModel::predict_batch`], fanned across the executor's
-    /// worker pool. The KL-LUCB budget decisions stay sequential at
-    /// *round* granularity: every round's draws are planned (and
-    /// charged) before dispatch, so statistical validity is unchanged —
-    /// the bounds simply observe `batch_size` fresh samples at a time,
-    /// exactly as the scalar path's inner sampling loops do.
+    /// Model failures on perturbed samples are tolerated: the sample is
+    /// skipped, counted in [`Explanation::faults`], and charged against
+    /// [`ExplainConfig::max_total_queries`]. An error is returned only
+    /// when the model fails on the original block itself
+    /// ([`ExplainError::Model`]) or the block has no features
+    /// ([`ExplainError::NoFeatures`]).
     ///
     /// # Determinism
     ///
     /// For a deterministic model, the result is bitwise identical for a
     /// fixed `(block, seed, config)` across *every* batch size and pool
     /// size (including `BatchExec::new(1, 1)`): each draw's RNG stream
-    /// is derived from a per-mask draw counter, not from a shared
-    /// sequential RNG, so neither chunking nor worker scheduling can
-    /// reorder randomness. (A *stateful* model — e.g. a seeded fault
+    /// is derived from a per-mask draw counter, never from a shared
+    /// RNG, so neither chunking nor worker scheduling can reorder
+    /// randomness. (A *stateful* model — e.g. a seeded fault
     /// injector whose schedule advances per query — observes queries in
     /// nondeterministic order under `workers > 1`, and its faults land
     /// on different draws accordingly.)
-    ///
-    /// Note the draw streams intentionally differ from the scalar
-    /// path's shared-RNG streams, so `explain` and `explain_batched`
-    /// agree on the anchor but not bit-for-bit on the estimates; the
-    /// reference for golden comparisons is `explain_batched` at
-    /// `BatchExec::new(1, 1)`.
     pub fn explain_batched(
         &self,
         block: &BasicBlock,
@@ -1044,7 +737,11 @@ impl<M: CostModel + Sync> Explainer<M> {
                         let results = model.predict_batch(&st.batch[..chunk.len()]);
                         for (j, result) in results.into_iter().enumerate() {
                             let code = match result {
-                                // Open ε-ball, as in the scalar path.
+                                // Open ε-ball: with quantized cost
+                                // models (the crude model moves in
+                                // exact quarter-cycle steps) an
+                                // inclusive bound would admit genuinely
+                                // changed predictions.
                                 Ok(cost) => u8::from((cost - prediction).abs() < epsilon),
                                 Err(_) => DRAW_FAULT,
                             };
@@ -1096,7 +793,8 @@ impl<M: CostModel + Sync> Explainer<M> {
         let mut outcome: Option<(FeatureMask, f64, bool)> = None;
 
         'levels: for level in 1..=self.config.max_features {
-            // Candidate generation is identical to the scalar path.
+            // Build this level's candidates. Dedup hashes fixed-width
+            // masks (two words inline), not heap sets.
             let mut seen: HashSet<FeatureMask> = HashSet::new();
             let mut candidates: Vec<Candidate> = Vec::new();
             if level == 1 {
@@ -1147,9 +845,10 @@ impl<M: CostModel + Sync> Explainer<M> {
                 break 'levels;
             }
 
-            // KL-LUCB refinement: bound computation and the
-            // stop/continue decision are sequential per round; only the
-            // round's planned draws are evaluated in parallel.
+            // KL-LUCB refinement of the top-k boundary: bound
+            // computation and the stop/continue decision happen once
+            // per round; only the round's planned draws are evaluated
+            // in parallel.
             let k = self.config.beam_width.min(candidates.len());
             let mut lucb_round: u64 = 1;
             loop {
@@ -1194,9 +893,12 @@ impl<M: CostModel + Sync> Explainer<M> {
                 }
             }
 
-            // Confirmation pass, in rounds of `round_draws` per
-            // candidate (per-candidate adaptive stopping keeps these
-            // rounds narrow; the bulk of the queries are behind us).
+            // Confirmation pass: candidates whose point estimate clears
+            // the threshold are sampled, in rounds of `round_draws`,
+            // until their lower bound either confirms the anchor or the
+            // estimate falls below the threshold (Anchors'
+            // `lb > τ - tolerance` check needs enough samples to be
+            // meaningful).
             for candidate in &mut candidates {
                 loop {
                     let beta = exploration_beta(
@@ -1229,8 +931,9 @@ impl<M: CostModel + Sync> Explainer<M> {
                 }
             }
 
-            // Anchors at this level (same acceptance rule as the scalar
-            // path).
+            // Anchors at this level: precision estimate over threshold
+            // with a confident lower bound (same exploration rate as the
+            // confirmation pass).
             let beta =
                 exploration_beta(lucb_round, self.config.beam_width.max(1), self.config.confidence);
             let anchors: Vec<&Candidate> = candidates
@@ -1241,6 +944,8 @@ impl<M: CostModel + Sync> Explainer<M> {
                 })
                 .collect();
             if !anchors.is_empty() {
+                // Coverage is monotone decreasing in |F|, so the first
+                // level with an anchor holds the max-coverage anchor.
                 let best = anchors
                     .into_iter()
                     .map(|c| {
@@ -1250,7 +955,11 @@ impl<M: CostModel + Sync> Explainer<M> {
                     .max_by(|(_, ca), (_, cb)| ca.total_cmp(cb))
                     // Invariant: guarded by `!anchors.is_empty()`.
                     .expect("non-empty anchors");
-                // Greedy drop-one minimization, sampling each subset in
+                // Greedy minimization: borderline singletons can miss
+                // their own level by sampling noise, leaving a redundant
+                // feature in the anchor. Try dropping each feature and
+                // keep any subset that still confirms the threshold
+                // (strictly improving coverage), sampling each subset in
                 // rounds with a post-round early exit.
                 let mut features = best.0.features.clone();
                 let mut precision = best.0.est.mean();
@@ -1350,8 +1059,7 @@ mod tests {
     use crate::feature::Feature;
     use comet_isa::parse_block;
     use comet_models::{FaultConfig, FaultyModel};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use std::sync::atomic::AtomicBool;
 
     /// A cost model that only looks at the block length.
     struct LengthModel;
@@ -1390,8 +1098,7 @@ mod tests {
     fn explains_a_length_only_model_with_eta() {
         let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx\nimul r9, r10").unwrap();
         let explainer = Explainer::new(LengthModel, ExplainConfig::for_crude_model());
-        let mut rng = StdRng::seed_from_u64(0);
-        let explanation = explainer.explain(&block, &mut rng).unwrap();
+        let explanation = explainer.explain(&block, 0).unwrap();
         assert!(explanation.anchored);
         assert_eq!(
             explanation.features.iter().copied().collect::<Vec<_>>(),
@@ -1410,8 +1117,7 @@ mod tests {
         let block =
             parse_block("mov ecx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nimul rax, rcx").unwrap();
         let explainer = Explainer::new(DivModel, ExplainConfig::for_crude_model());
-        let mut rng = StdRng::seed_from_u64(1);
-        let explanation = explainer.explain(&block, &mut rng).unwrap();
+        let explanation = explainer.explain(&block, 1).unwrap();
         assert!(explanation.anchored);
         assert_eq!(
             explanation.features.iter().copied().collect::<Vec<_>>(),
@@ -1441,15 +1147,11 @@ mod tests {
     fn reduced_budget_still_explains_and_spends_less() {
         let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx\nimul r9, r10").unwrap();
         let config = ExplainConfig::for_crude_model();
-        let full = Explainer::new(LengthModel, config)
-            .explain(&block, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let reduced = Explainer::new(LengthModel, config.reduced_budget())
-            .explain(&block, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let probe = Explainer::new(LengthModel, config.baseline_probe())
-            .explain(&block, &mut StdRng::seed_from_u64(5))
-            .unwrap();
+        let full = Explainer::new(LengthModel, config).explain(&block, 5).unwrap();
+        let reduced =
+            Explainer::new(LengthModel, config.reduced_budget()).explain(&block, 5).unwrap();
+        let probe =
+            Explainer::new(LengthModel, config.baseline_probe()).explain(&block, 5).unwrap();
         // The reduced run must respect its own (much smaller) query
         // cap; comparing against the full run directly is unreliable
         // on trivially easy models, where smaller init batches can
@@ -1470,8 +1172,7 @@ mod tests {
     fn query_counter_tracks_usage() {
         let block = parse_block("add rcx, rax\nmov rdx, rcx").unwrap();
         let explainer = Explainer::new(LengthModel, ExplainConfig::for_crude_model());
-        let mut rng = StdRng::seed_from_u64(2);
-        let explanation = explainer.explain(&block, &mut rng).unwrap();
+        let explanation = explainer.explain(&block, 2).unwrap();
         assert!(explanation.queries > 10);
     }
 
@@ -1479,8 +1180,8 @@ mod tests {
     fn explanation_is_reproducible_per_seed() {
         let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx").unwrap();
         let explainer = Explainer::new(LengthModel, ExplainConfig::for_crude_model());
-        let a = explainer.explain(&block, &mut StdRng::seed_from_u64(3)).unwrap();
-        let b = explainer.explain(&block, &mut StdRng::seed_from_u64(3)).unwrap();
+        let a = explainer.explain(&block, 3).unwrap();
+        let b = explainer.explain(&block, 3).unwrap();
         assert_eq!(a.features, b.features);
         assert_eq!(a.precision, b.precision);
     }
@@ -1498,8 +1199,7 @@ mod tests {
         }
         let block = parse_block("add rcx, rax\nmov rdx, rcx").unwrap();
         let explainer = Explainer::new(AlwaysNan, ExplainConfig::for_crude_model());
-        let mut rng = StdRng::seed_from_u64(0);
-        match explainer.explain(&block, &mut rng) {
+        match explainer.explain(&block, 0) {
             Err(ExplainError::Model(ModelError::NonFinite { .. })) => {}
             other => panic!("expected a NonFinite model error, got {other:?}"),
         }
@@ -1524,8 +1224,7 @@ mod tests {
                 FaultConfig { nan_rate: 0.1, transient_rate: 0.1, seed, ..Default::default() },
             );
             let explainer = Explainer::new(faulty, config);
-            let mut rng = StdRng::seed_from_u64(seed);
-            match explainer.explain(&block, &mut rng) {
+            match explainer.explain(&block, seed) {
                 Ok(e) => {
                     assert!(e.queries <= config.max_total_queries);
                     if e.faults > 0 {
@@ -1546,7 +1245,7 @@ mod tests {
             parse_block("mov ecx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\nimul rax, rcx").unwrap();
         let config = ExplainConfig { coverage_samples: 300, ..ExplainConfig::for_crude_model() };
         let explainer = Explainer::new(DivModel, config);
-        let reference = explainer.explain_batched(&block, 11, &BatchExec::new(1, 1)).unwrap();
+        let reference = explainer.explain(&block, 11).unwrap();
         assert!(reference.anchored);
         assert_eq!(
             reference.features.iter().copied().collect::<Vec<_>>(),
@@ -1621,13 +1320,13 @@ mod tests {
 
     #[test]
     fn budget_is_a_hard_cap_even_when_every_sample_faults() {
-        struct HealthyOnceThenFail(Cell<bool>);
+        struct HealthyOnceThenFail(AtomicBool);
         impl CostModel for HealthyOnceThenFail {
             fn name(&self) -> &str {
                 "healthy-once"
             }
             fn predict(&self, _: &BasicBlock) -> f64 {
-                if self.0.replace(true) {
+                if self.0.swap(true, Ordering::Relaxed) {
                     f64::NAN
                 } else {
                     1.0
@@ -1640,9 +1339,8 @@ mod tests {
             max_total_queries: 500,
             ..ExplainConfig::for_crude_model()
         };
-        let explainer = Explainer::new(HealthyOnceThenFail(Cell::new(false)), config);
-        let mut rng = StdRng::seed_from_u64(4);
-        let e = explainer.explain(&block, &mut rng).unwrap();
+        let explainer = Explainer::new(HealthyOnceThenFail(AtomicBool::new(false)), config);
+        let e = explainer.explain(&block, 4).unwrap();
         assert!(e.queries <= 500);
         assert_eq!(e.faults, e.queries - 1);
         assert!(e.degraded);

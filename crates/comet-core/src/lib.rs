@@ -35,13 +35,12 @@
 //! use comet_core::{Explainer, ExplainConfig};
 //! use comet_models::CrudeModel;
 //! use comet_isa::Microarch;
-//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let block = comet_isa::parse_block("add rcx, rax\nmov rdx, rcx\npop rbx")?;
 //! let model = CrudeModel::new(Microarch::Haswell);
 //! let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-//! let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(0))?;
+//! let explanation = explainer.explain(&block, 0)?;
 //! println!("{} explains the prediction", explanation.display_features());
 //! # Ok(())
 //! # }

@@ -1,10 +1,10 @@
 //! The batched-search determinism contract, end to end: for a
 //! deterministic model, `explain_batched` must produce *bitwise
 //! identical* explanations — features, precision, coverage, query and
-//! fault counts — for every batch size and pool size, with
-//! `BatchExec::new(1, 1)` (single-item batches, calling thread only)
-//! as the scalar reference. This is what lets services tune batching
-//! knobs freely without changing any result.
+//! fault counts — for every batch size and pool size, including the
+//! `BatchExec::new(1, 1)` that `explain` runs on the calling thread.
+//! This is what lets services tune batching knobs freely without
+//! changing any result.
 
 use comet_bhive::{generate_source_block, GenConfig, Source};
 use comet_core::{BatchExec, ExplainConfig, Explainer};
@@ -36,13 +36,10 @@ fn explanations_are_bitwise_identical_across_batch_and_pool_sizes() {
     };
     let explainer = Explainer::new(CrudeModel::new(Microarch::Haswell), config);
 
-    // Scalar reference: batch 1, pool 1.
     let reference: Vec<_> = blocks
         .iter()
         .enumerate()
-        .map(|(i, block)| {
-            explainer.explain_batched(block, i as u64, &BatchExec::new(1, 1)).unwrap()
-        })
+        .map(|(i, block)| explainer.explain(block, i as u64).unwrap())
         .collect();
     assert!(
         reference.iter().any(|e| e.anchored),
@@ -51,9 +48,6 @@ fn explanations_are_bitwise_identical_across_batch_and_pool_sizes() {
 
     for workers in POOL_SIZES {
         for batch in BATCH_SIZES {
-            if (batch, workers) == (1, 1) {
-                continue;
-            }
             let exec = BatchExec::new(batch, workers);
             for (i, (block, want)) in blocks.iter().zip(&reference).enumerate() {
                 let got = explainer.explain_batched(block, i as u64, &exec).unwrap();

@@ -10,8 +10,6 @@ use comet_bhive::{Corpus, GenConfig};
 use comet_core::{format_feature_set, ground_truth, ExplainConfig, Explainer};
 use comet_isa::Microarch;
 use comet_models::{CostModel, CrudeModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let corpus = Corpus::generate(10, GenConfig::default(), 0xB10C5);
@@ -20,11 +18,10 @@ fn main() {
     let explainer = Explainer::new(crude, config);
     for (i, entry) in corpus.iter().enumerate() {
         let gt = ground_truth(&crude, &entry.block);
-        let mut rng = StdRng::seed_from_u64(i as u64);
         println!("=== block {i} (C = {:.2})", crude.predict(&entry.block));
         println!("{}", entry.block);
         println!("GT       : {}", format_feature_set(&gt));
-        match explainer.explain(&entry.block, &mut rng) {
+        match explainer.explain(&entry.block, i as u64) {
             Ok(e) => println!(
                 "COMET    : {} (prec {:.2}, anchored {}, cov {:.2})",
                 e.display_features(),

@@ -13,8 +13,6 @@ use comet_isa::Microarch;
 use comet_models::{
     CachedModel, CostModel, CrudeModel, IthemalConfig, IthemalSurrogate, UicaSurrogate,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let corpus = Corpus::generate(6, GenConfig::default(), 1);
@@ -43,12 +41,11 @@ fn main() {
     }
 
     let config = ExplainConfig { coverage_samples: 600, ..ExplainConfig::for_throughput_model() };
-    for (name, model) in [("ithemal", &ithemal as &dyn CostModel), ("uica", &uica)] {
+    for (name, model) in [("ithemal", &ithemal as &(dyn CostModel + Sync)), ("uica", &uica)] {
         let cached = CachedModel::new(model);
         let explainer = Explainer::new(&cached, config);
         let t = Instant::now();
-        let mut rng = StdRng::seed_from_u64(0);
-        let e = explainer.explain(block, &mut rng).expect("surrogate models predict finite costs");
+        let e = explainer.explain(block, 0).expect("surrogate models predict finite costs");
         let stats = cached.stats();
         println!(
             "{name} explain: {:?}, queries {} (cache hits {})",

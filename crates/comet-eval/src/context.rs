@@ -7,7 +7,7 @@ use comet_bhive::{Corpus, GenConfig};
 use comet_isa::Microarch;
 use comet_models::{IthemalConfig, IthemalSurrogate, UicaSurrogate};
 
-use crate::par::CancelToken;
+use comet_core::cancel::CancelToken;
 
 /// Experiment scale: `paper` replicates the paper's set sizes; `quick`
 /// is a minutes-scale smoke configuration for CI and tests.

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use comet_bhive::BhiveBlock;
+use comet_core::par::{par_map_cancellable, ParPanic};
 use comet_core::{
     ground_truth, is_accurate, BaselineContext, BatchExec, ExplainConfig, ExplainError, Explainer,
     Explanation, FeatureSet,
@@ -14,7 +15,6 @@ use rand::SeedableRng;
 
 use crate::context::{Durability, EvalContext};
 use crate::journal::{fingerprint, Journal, JournalError, JournalRecord};
-use crate::par::{par_map_cancellable, ParPanic};
 use crate::report::{pm, Table};
 
 /// Why one block's explanation failed.
@@ -55,8 +55,8 @@ fn run_fingerprint<M: CostModel>(
     let config_json = serde_json::to_string(config).unwrap_or_default();
     let seed_text = seed.to_string();
     // The search-path tag invalidates journals written by earlier
-    // search generations: the scalar search's RNG streams differ from
-    // the batched search's counter-derived ones, and batched-v2's
+    // search generations: the removed shared-RNG search's streams
+    // differ from the batched search's counter-derived ones, and batched-v2's
     // Newton KL bound inversion can differ from v1's bisection in the
     // last ulps. Mixing such records would silently mix two different
     // (both valid) result sets. Batch and pool sizes are deliberately

@@ -3,8 +3,6 @@
 use comet_core::{space, ExplainConfig, Explainer, Feature, FeatureSet};
 use comet_isa::{parse_block, Microarch};
 use comet_models::{CachedModel, CostModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::context::EvalContext;
 use crate::report::Table;
@@ -73,8 +71,7 @@ pub fn run_case_studies(ctx: &EvalContext) -> Table {
             let cached = CachedModel::new(model);
             let prediction = cached.predict(&block);
             let explainer = Explainer::new(&cached, config);
-            let mut rng = StdRng::seed_from_u64(0xCA5E + index as u64);
-            let rendered = match explainer.explain(&block, &mut rng) {
+            let rendered = match explainer.explain(&block, 0xCA5E + index as u64) {
                 Ok(explanation) => explanation.display_features(),
                 Err(error) => {
                     eprintln!("warning: case study {case} ({label}) failed: {error}");

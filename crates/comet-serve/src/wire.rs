@@ -355,6 +355,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_body_is_an_error_not_a_stack_overflow() {
+        // ~400 KB of `[`: under the body cap, far past the JSON
+        // parser's nesting cap.
+        let hostile = "[".repeat(400 * 1024);
+        let err = decode_request::<PredictRequest>(hostile.as_bytes()).unwrap_err();
+        assert!(err.contains("recursion limit"), "{err}");
+    }
+
+    #[test]
     fn missing_required_fields_fail() {
         assert!(decode_request::<PredictRequest>(br#"{"v":1}"#).is_err());
         assert!(decode_request::<ExplainRequest>(br#"{"block":"nop"}"#).is_err());

@@ -142,6 +142,29 @@ fn routing_is_key_stable_and_shards_fence_misroutes() {
 }
 
 #[test]
+fn router_forwards_the_shards_400_for_deeply_nested_json_and_keeps_serving() {
+    let fleet = start_fleet(2);
+    // ~400 KB of `[`: under the body cap, far past the JSON parser's
+    // nesting cap. The router parses the body for its routing key, then
+    // the owning shard parses it again; neither may overflow its stack.
+    let hostile = "[".repeat(400 * 1024);
+    let (status, body) = one_shot(fleet.router.addr(), &post("/v1/predict", &hostile));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("recursion limit"), "{body}");
+
+    for block in blocks_per_shard(&fleet.router, 2) {
+        let (status, body) =
+            one_shot(fleet.router.addr(), &post("/v1/predict", &predict_body(&block)));
+        assert_eq!(status, 200, "{body}");
+    }
+
+    for server in fleet.shards {
+        server.shutdown();
+    }
+    fleet.router.shutdown();
+}
+
+#[test]
 fn router_aggregates_metrics_and_readyz_across_shards() {
     let fleet = start_fleet(2);
     let blocks = blocks_per_shard(&fleet.router, 2);

@@ -432,6 +432,24 @@ fn malformed_and_oversized_requests_get_clean_errors() {
 }
 
 #[test]
+fn deeply_nested_json_gets_a_400_and_the_server_keeps_serving() {
+    let server = start_crude(2, 8);
+    let addr = server.addr();
+    // ~400 KB of `[`: under the body cap, far past the JSON parser's
+    // nesting cap. Unbounded recursion would overflow a stack here.
+    let hostile = "[".repeat(400 * 1024);
+    for path in ["/v1/predict", "/v1/explain"] {
+        let (status, body) = one_shot(addr, &post(path, &hostile));
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("recursion limit"), "{path}: {body}");
+    }
+    let (status, body) =
+        one_shot(addr, &post("/v1/predict", r#"{"v":1,"block":"add rcx, rax\nnop"}"#));
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn slow_loris_is_timed_out_with_408() {
     let server = Server::start(
         ModelKind::CrudeHaswell,

@@ -14,8 +14,6 @@ use comet::models::{
     CachedModel, CostModel, HardwareOracle, IthemalConfig, IthemalSurrogate, UicaSurrogate,
 };
 use comet::{ExplainConfig, Explainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper Listing 3. Actual hardware throughput (BHive): 39 cycles.
@@ -41,12 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uica = UicaSurrogate::new(march);
 
     let config = ExplainConfig::for_throughput_model();
-    let mut rng = StdRng::seed_from_u64(1);
-    for model in [&ithemal as &dyn CostModel, &uica] {
+    for model in [&ithemal as &(dyn CostModel + Sync), &uica] {
         let cached = CachedModel::new(model);
         let prediction = cached.predict(&block);
         let explainer = Explainer::new(&cached, config);
-        let explanation = explainer.explain(&block, &mut rng)?;
+        let explanation = explainer.explain(&block, 1)?;
         println!(
             "{:<14} prediction {:>6.2} cycles  explanation {}",
             model.name(),

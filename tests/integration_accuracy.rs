@@ -7,7 +7,7 @@ use comet::isa::Microarch;
 use comet::models::CrudeModel;
 use comet::{ExplainConfig, Explainer};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn comet_beats_random_baseline_on_crude_model() {
@@ -23,7 +23,7 @@ fn comet_beats_random_baseline_on_crude_model() {
     let mut comet_hits = 0;
     let mut random_hits = 0;
     for (entry, gt) in corpus.iter().zip(&gts) {
-        let explanation = explainer.explain(&entry.block, &mut rng).unwrap();
+        let explanation = explainer.explain(&entry.block, rng.gen()).unwrap();
         if is_accurate(&explanation.features, gt) {
             comet_hits += 1;
         }
@@ -46,7 +46,7 @@ fn explanations_have_meaningful_precision_and_coverage() {
     let explainer = Explainer::new(crude, config);
     let mut rng = StdRng::seed_from_u64(5);
     for entry in &corpus {
-        let e = explainer.explain(&entry.block, &mut rng).unwrap();
+        let e = explainer.explain(&entry.block, rng.gen()).unwrap();
         assert!((0.0..=1.0).contains(&e.precision));
         assert!((0.0..=1.0).contains(&e.coverage));
         assert!(e.queries > 0);

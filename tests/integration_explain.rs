@@ -14,7 +14,7 @@ fn motivating_example_end_to_end() {
     let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx").unwrap();
     let model = CrudeModel::new(Microarch::Haswell);
     let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-    let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(0)).unwrap();
+    let explanation = explainer.explain(&block, 0).unwrap();
     assert!(explanation.anchored, "no anchor found: {}", explanation.display_features());
     // The crude model's bottleneck here is the RAW dependency (cost
     // 0.25 + 0.25 = 0.5 < ... actually instruction costs tie); the
@@ -34,7 +34,7 @@ fn div_block_explained_by_fine_grained_features() {
     let model = CrudeModel::new(Microarch::Haswell);
     let gt = comet::core::ground_truth(&model, &block);
     let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-    let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(1)).unwrap();
+    let explanation = explainer.explain(&block, 1).unwrap();
     assert!(explanation.anchored);
     assert!(
         comet::core::is_accurate(&explanation.features, &gt),
@@ -70,8 +70,8 @@ fn explanations_are_deterministic_given_seed() {
     let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx\nimul r9, r10").unwrap();
     let model = CrudeModel::new(Microarch::Skylake);
     let explainer = Explainer::new(model, ExplainConfig::for_crude_model());
-    let a = explainer.explain(&block, &mut StdRng::seed_from_u64(9)).unwrap();
-    let b = explainer.explain(&block, &mut StdRng::seed_from_u64(9)).unwrap();
+    let a = explainer.explain(&block, 9).unwrap();
+    let b = explainer.explain(&block, 9).unwrap();
     assert_eq!(a.features, b.features);
     assert_eq!(a.precision, b.precision);
     assert_eq!(a.coverage, b.coverage);
@@ -93,7 +93,7 @@ fn eta_only_model_yields_eta_explanation() {
 
     let block = parse_block("add rcx, rax\nmov rdx, rcx\npop rbx\nshl r9, 3").unwrap();
     let explainer = Explainer::new(LengthModel, ExplainConfig::for_crude_model());
-    let explanation = explainer.explain(&block, &mut StdRng::seed_from_u64(3)).unwrap();
+    let explanation = explainer.explain(&block, 3).unwrap();
     assert!(explanation.anchored);
     assert_eq!(
         explanation.features.iter().copied().collect::<Vec<_>>(),
