@@ -1,8 +1,10 @@
 //! # comet-bench
 //!
-//! Criterion benchmarks for the COMET reproduction. Micro-benchmarks
-//! cover the hot paths (Γ perturbation, simulation, dependency
-//! analysis, neural inference/training, KL bounds), and the
-//! `paper_experiments` bench runs a miniature version of each paper
-//! table/figure pipeline. The full-scale regenerators live in the
+//! Measurement binaries for the COMET reproduction. `bench-report`
+//! times the explanation hot path (Γ perturbation, neural inference,
+//! the cached model, a miniature Table 2) and writes
+//! `BENCH_explain.json`; `chaos-report` replays a seeded fault and
+//! abuse storm against `comet-serve` and checks its robustness
+//! invariants. The per-layer and end-to-end repository benchmark lives
+//! in `repobench/`, and the full-scale paper regenerators in the
 //! `comet-eval` binary.

@@ -26,7 +26,8 @@ pub enum ModelError {
     },
     /// The query exceeded its latency deadline.
     Timeout {
-        /// How long the query ran before being abandoned.
+        /// Time spent against the deadline when the query was refused
+        /// or abandoned.
         elapsed: Duration,
         /// The configured deadline the query blew through, so reports
         /// can say "2.0s elapsed vs 500ms budget".

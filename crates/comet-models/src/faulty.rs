@@ -38,7 +38,7 @@ pub struct FaultConfig {
     pub latency: Duration,
     /// Optional query deadline: a latency spike at or beyond it is
     /// reported as [`ModelError::Timeout`] (the sleep is capped at the
-    /// deadline, emulating a watchdog that abandons the query).
+    /// deadline, emulating a caller that gives up on the query).
     pub deadline: Option<Duration>,
     /// RNG seed for reproducible fault schedules.
     pub seed: u64,

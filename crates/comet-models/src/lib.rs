@@ -17,10 +17,8 @@
 //! crate also provides a fault-tolerance layer: a [`ModelError`]
 //! taxonomy with the fallible [`CostModel::try_predict`] entry point,
 //! the [`ResilientModel`] decorator (retries, circuit breaker,
-//! fallback degradation), the [`DeadlineModel`] wall-clock watchdog
-//! (abandons stalled queries as [`ModelError::Timeout`]), and the
-//! [`FaultyModel`] seeded fault-injection wrapper for robustness
-//! testing.
+//! fallback degradation), and the [`FaultyModel`] seeded
+//! fault-injection wrapper for robustness testing.
 //!
 //! # Examples
 //!
@@ -40,7 +38,6 @@
 
 mod baseline;
 mod crude;
-mod deadline;
 mod error;
 mod faulty;
 mod ithemal;
@@ -53,7 +50,6 @@ mod traits;
 
 pub use baseline::{coarse_baseline, CoarseBaselineModel};
 pub use crude::CrudeModel;
-pub use deadline::DeadlineModel;
 pub use error::{catch_prediction, panic_payload_message, ModelError};
 pub use faulty::{FaultConfig, FaultStats, FaultyModel};
 pub use ithemal::{IthemalConfig, IthemalSurrogate};

@@ -4,8 +4,6 @@
 //! positions of injected faults under [`FaultyModel`], which exercises
 //! the trait's default (slice-order loop) implementation.
 
-use std::time::Duration;
-
 use comet_bhive::{generate_source_block, GenConfig, Source};
 use comet_isa::{BasicBlock, Microarch};
 use comet_models::{
@@ -107,20 +105,5 @@ proptest! {
             prop_assert_eq!(got, &want, "fault schedule diverged at item {}", i);
         }
         prop_assert_eq!(batched.len(), blocks.len());
-    }
-
-    /// A deadline-guarded batch of healthy queries passes through with
-    /// per-item values intact (the timeout path is covered by unit
-    /// tests; here we pin the value contract).
-    #[test]
-    fn deadline_batch_values_match(blocks in arb_blocks()) {
-        use comet_models::DeadlineModel;
-        let guarded =
-            DeadlineModel::new(CrudeModel::new(Microarch::Haswell), Duration::from_secs(10));
-        let reference = CrudeModel::new(Microarch::Haswell);
-        let batched = guarded.predict_batch(&blocks);
-        for (block, got) in blocks.iter().zip(&batched) {
-            prop_assert_eq!(got, &reference.try_predict(block));
-        }
     }
 }

@@ -84,6 +84,10 @@ pub struct Request {
     pub close: bool,
     /// Parsed `x-comet-deadline-ms` header, when present and numeric.
     pub deadline_ms: Option<u64>,
+    /// When the parser completed the request: the origin every
+    /// request deadline is measured from, so time spent queued for a
+    /// worker counts against the budget.
+    pub received: Instant,
 }
 
 /// Where the parser is inside the current request.
@@ -263,6 +267,7 @@ impl RequestParser {
                         body,
                         close: self.close,
                         deadline_ms: self.deadline_ms.take(),
+                        received: Instant::now(),
                     };
                     // Reset for the next keep-alive request; leftover
                     // bytes (an eager pipeliner) stay buffered.

@@ -22,9 +22,11 @@
 //! * **Work deduplication** — identical in-flight explains coalesce
 //!   onto one search ([`server`]); the sharded prediction cache
 //!   deduplicates repeated queries underneath.
-//! * **Deadlines** — per-request budgets propagate from a header or
-//!   body field into the model stack (watchdog for single predicts,
-//!   cooperative gate for explain searches).
+//! * **Deadlines and caps** — a per-request budget from a header or
+//!   body field, measured from request arrival, is checked before every
+//!   model query by one cooperative gate; per-endpoint instruction caps
+//!   ([`wire::MAX_PREDICT_INSTS`], [`wire::MAX_EXPLAIN_INSTS`]) bound
+//!   what each query costs.
 //! * **Observability** — atomic counters and latency histograms
 //!   rendered as Prometheus text at `GET /metrics` ([`metrics`]);
 //!   `GET /healthz` (liveness) and `GET /readyz` (readiness with

@@ -88,7 +88,8 @@ pub enum StatusClass {
     /// 408 (request deadline exhausted before completion, or a
     /// slow-loris peer that never finished sending its request).
     Timeout,
-    /// 413 (request body over the hard cap).
+    /// 413 (request body over the hard cap, or a block over its
+    /// endpoint's instruction cap).
     PayloadTooLarge,
     /// 409 (a staged model candidate failed shadow validation).
     Conflict,

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use crate::event::{FrontEnd, FrontEndConfig, Service, WorkerHandler};
 use crate::http::{write_response, HttpError, Request};
 use crate::route::Ring;
-use crate::wire::ErrorResponse;
+use crate::wire::{self, ErrorResponse, ExplainRequest, PredictRequest};
 use comet_core::cancel::CancelToken;
 
 /// Router tunables.
@@ -397,16 +397,21 @@ fn respond_json(out: &mut Vec<u8>, status: u16, body: &serde_json::Value, close:
     write_response(out, status, "application/json", &bytes, close).expect("vec write");
 }
 
-/// Proxy a predict/explain to the shard owning its block key. Bodies
-/// that do not parse as JSON-with-a-`"block"`-string still route
-/// deterministically (to the owner of the empty key) so their 400
-/// always comes from the same shard.
+/// Proxy a predict/explain to the shard owning its block key. A body
+/// a shard would refuse before parsing its block (one that does not
+/// decode, or whose block is over the endpoint's instruction cap) is
+/// answered here with the shard's status and error text, so only
+/// requests a shard can use cross the hop.
 fn route_block(ctx: &RouterCtx, out: &mut Vec<u8>, request: &Request, close: bool) {
-    let block = std::str::from_utf8(&request.body)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(text).ok())
-        .and_then(|v| v.get("block").and_then(|b| b.as_str()).map(str::to_string))
-        .unwrap_or_default();
+    let decoded = if request.path == "/v1/predict" {
+        wire::decode_block_request::<PredictRequest>(&request.body).map(|req| req.block)
+    } else {
+        wire::decode_block_request::<ExplainRequest>(&request.body).map(|req| req.block)
+    };
+    let block = match decoded {
+        Ok(block) => block,
+        Err((status, error)) => return respond_error(out, status.code(), &error, close),
+    };
     let shard = ctx.ring.owner_of_block(&block) as usize;
     match ctx.call(shard, &request.method, &request.path, &request.body, request.deadline_ms) {
         Ok(response) => forward(out, &response, close),

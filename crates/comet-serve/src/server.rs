@@ -33,8 +33,9 @@
 //! and the resilient layer retries transient faults — rate-limited by
 //! a global retry token bucket so a correlated outage cannot turn into
 //! a retry storm — and trips its circuit breaker on a persistently
-//! failing backend. Per-request deadlines compose on top per query
-//! path — see [`DeadlineGate`] and the predict handler's watchdog.
+//! failing backend. Per-request deadlines compose on top through one
+//! cooperative [`DeadlineGate`], measured from request arrival, for
+//! predicts and explains alike.
 //!
 //! Explains ride a **degradation ladder** (full search →
 //! reduced-budget search → stale cached explanation → minimal baseline
@@ -78,8 +79,8 @@ use comet_core::cancel::CancelToken;
 use comet_core::{BatchExec, ExplainConfig, ExplainError, Explainer, Explanation, SwapCell};
 use comet_isa::{BasicBlock, Microarch};
 use comet_models::{
-    CachedModel, CostModel, CrudeModel, DeadlineModel, ModelError, ModelRegistry, QueryStats,
-    RegistryRecovery, ResilientModel, UicaSurrogate,
+    CachedModel, CostModel, CrudeModel, ModelError, ModelRegistry, QueryStats, RegistryRecovery,
+    ResilientModel, UicaSurrogate,
 };
 
 /// A boxed, shareable cost model — the bottom of the serving stack.
@@ -289,21 +290,23 @@ struct Flight {
 /// the degradation-ladder tier that produced it.
 type FlightResult = Result<(Explanation, Tier), (StatusClass, String)>;
 
-/// Cooperative per-request deadline for the explain path.
+/// Cooperative per-request deadline: the one deadline mechanism of
+/// both `/v1/predict` and `/v1/explain`.
 ///
-/// An anchors search issues thousands of microsecond-scale model
-/// queries; running each under the [`DeadlineModel`] watchdog (a
-/// thread spawn per query) would cost more than the queries
-/// themselves. The gate instead checks the request's wall-clock budget
-/// before delegating each query and, once expired, fails every further
-/// query with [`ModelError::Timeout`] — the explainer's budget-capped
-/// fault-skipping sampler then winds down in microseconds and returns
-/// its best candidate so far, flagged `degraded`. The gate also
-/// watches the server's [`CancelToken`], so a drain winds active
-/// searches down the same way instead of letting them run to
-/// completion. The true watchdog (stalled-backend abandonment) still
-/// guards the single-query predict path, where its per-call cost is
-/// irrelevant.
+/// The gate checks the request's wall-clock budget, measured from
+/// [`Request::received`], before delegating each model query, and
+/// once expired fails every further query with [`ModelError::Timeout`]
+/// — a predict answers 408 without querying the model, and the
+/// explainer's budget-capped fault-skipping sampler winds down in
+/// microseconds and returns its best candidate so far, flagged
+/// `degraded`. The check costs a clock read, not a thread, so it is
+/// cheap enough for the thousands of microsecond-scale queries of an
+/// anchors search. A query already admitted runs to completion; the
+/// per-endpoint instruction caps ([`wire::decode_block_request`]) bound
+/// how long one can take. The gate also watches the server's
+/// [`CancelToken`] when given one, so a drain winds active searches
+/// down the same way instead of letting them run to completion.
+#[derive(Clone, Copy)]
 struct DeadlineGate<'a> {
     inner: &'a Stack,
     start: Instant,
@@ -1000,21 +1003,21 @@ fn effective_deadline(
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// `POST /v1/predict`: one model query, guarded by the [`DeadlineModel`]
-/// watchdog when a deadline applies (the header or body budget becomes
-/// the watchdog's abandonment deadline, so even a genuinely stalled
-/// backend cannot hold the worker past it).
+/// `POST /v1/predict`: one model query behind a [`DeadlineGate`]. A
+/// request whose budget ran out while it waited in the queue gets 408
+/// without a model query; one already in flight is answered, drain or
+/// not.
 fn handle_predict(
     ctx: &ServerCtx,
     out: &mut Vec<u8>,
     request: &Request,
     close: bool,
 ) -> StatusClass {
-    let req: PredictRequest = match decode_request(&request.body) {
+    let req: PredictRequest = match wire::decode_block_request(&request.body) {
         Ok(req) => req,
-        Err(e) => {
-            respond_error(out, StatusClass::BadRequest, &e, close);
-            return StatusClass::BadRequest;
+        Err((status, e)) => {
+            respond_error(out, status, &e, close);
+            return status;
         }
     };
     let block = match comet_isa::parse_block(&req.block) {
@@ -1031,12 +1034,13 @@ fn handle_predict(
     // version/name reported alongside it always agree, even if a swap
     // lands while this request is in flight.
     let epoch = ctx.epoch.load();
-    let result = match effective_deadline(ctx, req.deadline_ms, request.deadline_ms) {
-        Some(deadline) => {
-            DeadlineModel::from_arc(Arc::clone(&epoch.stack), deadline).try_predict(&block)
-        }
-        None => epoch.stack.try_predict(&block),
-    };
+    let result = DeadlineGate {
+        inner: &epoch.stack,
+        start: request.received,
+        budget: effective_deadline(ctx, req.deadline_ms, request.deadline_ms),
+        cancel: None,
+    }
+    .try_predict(&block);
     match result {
         Ok(prediction) => {
             let body = PredictResponse {
@@ -1119,11 +1123,11 @@ fn handle_explain(
     close: bool,
     exec: &BatchExec,
 ) -> StatusClass {
-    let req: ExplainRequest = match decode_request(&request.body) {
+    let req: ExplainRequest = match wire::decode_block_request(&request.body) {
         Ok(req) => req,
-        Err(e) => {
-            respond_error(out, StatusClass::BadRequest, &e, close);
-            return StatusClass::BadRequest;
+        Err((status, e)) => {
+            respond_error(out, status, &e, close);
+            return status;
         }
     };
     let block = match comet_isa::parse_block(&req.block) {
@@ -1137,7 +1141,6 @@ fn handle_explain(
         return status;
     }
     let epsilon = req.epsilon.filter(|e| e.is_finite() && *e > 0.0).unwrap_or(ctx.default_epsilon);
-    let deadline = effective_deadline(ctx, req.deadline_ms, request.deadline_ms);
 
     // One epoch for the whole request (see handle_predict).
     let epoch = ctx.epoch.load();
@@ -1209,7 +1212,13 @@ fn handle_explain(
         // The search must always complete the flight — a panic that
         // left twins parked forever would wedge their workers.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_search(ctx, &epoch, &block, epsilon, req.seed, deadline, exec)
+            let gate = DeadlineGate {
+                inner: &epoch.stack,
+                start: request.received,
+                budget: effective_deadline(ctx, req.deadline_ms, request.deadline_ms),
+                cancel: Some(&ctx.cancel),
+            };
+            run_search(ctx, &epoch, gate, &block, epsilon, req.seed, exec)
         }))
         .unwrap_or_else(|_| Err((StatusClass::Internal, "explanation search panicked".into())));
         if let Ok((_, tier)) = &outcome {
@@ -1304,25 +1313,25 @@ fn store_stale(ctx: &ServerCtx, key: (u64, u64), explanation: &Explanation) {
 /// Run one explain through the degradation ladder. Starts at the tier
 /// [`choose_tier`] picks proactively, descends a rung whenever a
 /// search tier fails (timeout or model failure), and only reports an
-/// error once the baseline rung itself fails. The worker's `BatchExec`
-/// counters are cumulative, so each search's delta is folded into the
-/// metrics registry here.
+/// error once the baseline rung itself fails. `gate` carries the
+/// request's deadline, measured from its arrival, over `epoch`'s
+/// stack. The worker's `BatchExec` counters are cumulative, so each
+/// search's delta is folded into the metrics registry here.
 fn run_search(
     ctx: &ServerCtx,
     epoch: &ModelEpoch,
+    gate: DeadlineGate<'_>,
     block: &BasicBlock,
     epsilon: f64,
     seed: u64,
-    deadline: Option<Duration>,
     exec: &BatchExec,
 ) -> FlightResult {
-    let start = Instant::now();
     // Seed-independent, version-scoped key: any seed's completed search
     // can serve as a stale stand-in for this (model version, block, ε)
     // — never for another model's.
     let stale_key = (epoch.version, wire::explain_key(&block.to_string(), epsilon, 0));
     let base = ExplainConfig { epsilon, ..ctx.explain_base };
-    let mut tier = choose_tier(ctx, &epoch.stack, deadline);
+    let mut tier = choose_tier(ctx, &epoch.stack, gate.budget);
     let mut last_error: Option<(StatusClass, String)> = None;
     loop {
         match tier {
@@ -1331,8 +1340,7 @@ fn run_search(
             // already missed or bypassed it.
             Tier::Store => tier = Tier::Full,
             Tier::Full | Tier::ReducedBudget => {
-                let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
-                if remaining == Some(Duration::ZERO) {
+                if gate.expired().is_some() {
                     // Budget already gone; don't bother starting.
                     last_error.get_or_insert((
                         StatusClass::Timeout,
@@ -1342,12 +1350,6 @@ fn run_search(
                     continue;
                 }
                 let config = if tier == Tier::Full { base } else { base.reduced_budget() };
-                let gate = DeadlineGate {
-                    inner: &epoch.stack,
-                    start: Instant::now(),
-                    budget: remaining,
-                    cancel: Some(&ctx.cancel),
-                };
                 match attempt_search(ctx, &gate, config, block, seed, exec) {
                     Ok(mut explanation) => {
                         if tier != Tier::Full {
@@ -1383,12 +1385,7 @@ fn run_search(
                 // deadline (it costs a few hundred queries at most and
                 // an answer beats a clean timeout here). Cancellation
                 // still applies so drain is never blocked on it.
-                let gate = DeadlineGate {
-                    inner: &epoch.stack,
-                    start: Instant::now(),
-                    budget: None,
-                    cancel: Some(&ctx.cancel),
-                };
+                let gate = DeadlineGate { budget: None, ..gate };
                 match attempt_search(ctx, &gate, base.baseline_probe(), block, seed, exec) {
                     Ok(mut explanation) => {
                         explanation.degraded = true;
@@ -1495,6 +1492,38 @@ mod tests {
             .predict_batch(std::slice::from_ref(&block))
             .iter()
             .all(|r| matches!(r, Err(ModelError::Timeout { .. }))));
+    }
+
+    #[test]
+    fn predict_deadline_runs_from_request_arrival() {
+        let (base, _) = ModelKind::CrudeHaswell.build();
+        let server = Server::start_with_model(
+            base,
+            "test".into(),
+            ServeConfig { addr: "127.0.0.1:0".into(), ..Default::default() },
+        )
+        .unwrap();
+        let ctx = server.ctx();
+        let queries = || ctx.epoch.load().stack.stats().total;
+        let predict = |deadline_ms: u64| {
+            let request = Request {
+                method: "POST".into(),
+                path: "/v1/predict".into(),
+                body: format!(r#"{{"v":1,"block":"add rcx, rax","deadline_ms":{deadline_ms}}}"#)
+                    .into_bytes(),
+                close: false,
+                deadline_ms: None,
+                // Arrived a second ago: it sat in the queue that long.
+                received: Instant::now() - Duration::from_secs(1),
+            };
+            handle_predict(ctx, &mut Vec::new(), &request, false)
+        };
+        let before = queries();
+        assert_eq!(predict(1), StatusClass::Timeout);
+        assert_eq!(queries(), before, "an expired predict must not query the model");
+        assert_eq!(predict(0), StatusClass::Ok, "deadline 0 means no deadline");
+        assert_eq!(queries(), before + 1);
+        server.shutdown();
     }
 
     #[test]

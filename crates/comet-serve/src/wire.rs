@@ -10,8 +10,20 @@
 use comet_core::{Explanation, FeatureSet};
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::StatusClass;
+
 /// The wire major version this build speaks.
 pub const WIRE_V: u32 = 1;
+
+/// Most instructions a `/v1/predict` block may hold. Predict cost is
+/// linear in block length (crude: about 0.5 ms at this cap); the
+/// paper's BHive blocks hold 4–10.
+pub const MAX_PREDICT_INSTS: usize = 256;
+
+/// Most instructions a `/v1/explain` block may hold. A crude-model
+/// search at this length takes about 1 s and still anchors; past it
+/// the search spends its whole query budget without anchoring.
+pub const MAX_EXPLAIN_INSTS: usize = 24;
 
 /// `POST /v1/predict` request body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -285,6 +297,58 @@ pub trait HasVersion {
     fn version(&self) -> u32;
 }
 
+/// A request that carries a basic block, with its endpoint's
+/// instruction cap.
+pub trait BlockRequest: serde::Deserialize + HasVersion {
+    /// The endpoint path, named in the over-cap error.
+    const ENDPOINT: &'static str;
+    /// Most instructions the block may hold.
+    const MAX_INSTS: usize;
+    /// The block text.
+    fn block(&self) -> &str;
+}
+
+impl BlockRequest for PredictRequest {
+    const ENDPOINT: &'static str = "/v1/predict";
+    const MAX_INSTS: usize = MAX_PREDICT_INSTS;
+    fn block(&self) -> &str {
+        &self.block
+    }
+}
+
+impl BlockRequest for ExplainRequest {
+    const ENDPOINT: &'static str = "/v1/explain";
+    const MAX_INSTS: usize = MAX_EXPLAIN_INSTS;
+    fn block(&self) -> &str {
+        &self.block
+    }
+}
+
+/// Decode a predict or explain body and check its block against the
+/// endpoint's instruction cap, before anything parses the block. The
+/// error carries the status to answer with: 400 for a body that does
+/// not decode, 413 for a block over the cap. Shard and router both
+/// call this, so they refuse the same bodies with the same text.
+pub fn decode_block_request<T: BlockRequest>(body: &[u8]) -> Result<T, (StatusClass, String)> {
+    let req: T = decode_request(body).map_err(|e| (StatusClass::BadRequest, e))?;
+    // `parse_block` takes one instruction per line that is non-empty
+    // once its `;`/`#` comment is cut; counting stops one past the cap,
+    // so counting an oversized block costs no more than a full one.
+    let insts = req
+        .block()
+        .lines()
+        .filter(|line| !line.split([';', '#']).next().unwrap_or("").trim().is_empty())
+        .take(T::MAX_INSTS + 1)
+        .count();
+    if insts > T::MAX_INSTS {
+        return Err((
+            StatusClass::PayloadTooLarge,
+            format!("{} accepts at most {} instructions per block", T::ENDPOINT, T::MAX_INSTS),
+        ));
+    }
+    Ok(req)
+}
+
 impl HasVersion for PredictRequest {
     fn version(&self) -> u32 {
         self.v
@@ -361,6 +425,38 @@ mod tests {
         let hostile = "[".repeat(400 * 1024);
         let err = decode_request::<PredictRequest>(hostile.as_bytes()).unwrap_err();
         assert!(err.contains("recursion limit"), "{err}");
+    }
+
+    fn block_body(insts: usize, extra: &str) -> Vec<u8> {
+        let block = vec!["add rcx, 0x12345"; insts].join("\n");
+        serde_json::to_vec(&serde_json::json!({ "v": 1, "block": format!("{block}{extra}") }))
+            .unwrap()
+    }
+
+    #[test]
+    fn instruction_cap_counts_lines_as_parse_block_does() {
+        // Blank and comment-only lines are not instructions.
+        let padded = "\n\n  ; note\n# note\n".repeat(50);
+        let req = decode_block_request::<ExplainRequest>(&block_body(MAX_EXPLAIN_INSTS, &padded))
+            .unwrap();
+        assert_eq!(comet_isa::parse_block(&req.block).unwrap().len(), MAX_EXPLAIN_INSTS);
+        let (status, _) =
+            decode_block_request::<ExplainRequest>(&block_body(MAX_EXPLAIN_INSTS + 1, &padded))
+                .unwrap_err();
+        assert_eq!(status, StatusClass::PayloadTooLarge);
+    }
+
+    #[test]
+    fn large_block_bodies_decode_in_linear_time() {
+        // ~40k instructions, ~700 KB: string decoding that rescans the
+        // rest of the input per character takes seconds here.
+        let body = block_body(40_000, "");
+        assert!(body.len() >= 700_000, "{}", body.len());
+        let start = std::time::Instant::now();
+        let req = decode_request::<PredictRequest>(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(req.block.lines().count(), 40_000);
+        assert!(elapsed < std::time::Duration::from_secs(1), "decode took {elapsed:?}");
     }
 
     #[test]

@@ -3,19 +3,31 @@
 //! (router and shard agree on ownership), the shard-side 409 fence
 //! against misrouted keys, aggregated `/metrics` and `/readyz`, and
 //! partial degradation when one shard dies (its slice 503s, the
-//! survivor keeps answering).
+//! survivor keeps answering), and the router refusing bodies no shard
+//! could use without a hop.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use comet_serve::route::ShardSpec;
 use comet_serve::{ModelKind, Router, RouterConfig, ServeConfig, Server};
 
 fn one_shot(addr: SocketAddr, raw: &str) -> (u16, String) {
+    let (status, body, _) = time_from_last_byte(addr, raw);
+    (status, body)
+}
+
+/// One HTTP exchange over a fresh connection, timing the reply from the
+/// moment the request's last byte is written.
+fn time_from_last_byte(addr: SocketAddr, raw: &str) -> (u16, String, Duration) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    stream.write_all(raw.as_bytes()).expect("write request");
+    stream.set_nodelay(true).unwrap();
+    let (head, last) = raw.as_bytes().split_at(raw.len() - 1);
+    stream.write_all(head).expect("write request");
+    let start = Instant::now();
+    stream.write_all(last).expect("write last byte");
     let mut reader = BufReader::new(&stream);
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
@@ -34,7 +46,7 @@ fn one_shot(addr: SocketAddr, raw: &str) -> (u16, String) {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf8"))
+    (status, String::from_utf8(body).expect("utf8"), start.elapsed())
 }
 
 fn post(path: &str, body: &str) -> String {
@@ -145,8 +157,8 @@ fn routing_is_key_stable_and_shards_fence_misroutes() {
 fn router_forwards_the_shards_400_for_deeply_nested_json_and_keeps_serving() {
     let fleet = start_fleet(2);
     // ~400 KB of `[`: under the body cap, far past the JSON parser's
-    // nesting cap. The router parses the body for its routing key, then
-    // the owning shard parses it again; neither may overflow its stack.
+    // nesting cap. The router decodes the body for its routing key and
+    // answers the shard's 400 itself; it must not overflow its stack.
     let hostile = "[".repeat(400 * 1024);
     let (status, body) = one_shot(fleet.router.addr(), &post("/v1/predict", &hostile));
     assert_eq!(status, 400, "{body}");
@@ -161,6 +173,39 @@ fn router_forwards_the_shards_400_for_deeply_nested_json_and_keeps_serving() {
     for server in fleet.shards {
         server.shutdown();
     }
+    fleet.router.shutdown();
+}
+
+#[test]
+fn router_refuses_unusable_bodies_itself_even_with_every_shard_down() {
+    let fleet = start_fleet(2);
+    let nested = post("/v1/predict", &"[".repeat(400 * 1024));
+    // ~40k instructions (~700 KB): over the predict cap.
+    let block = vec!["add rcx, 0x12345"; 40_000].join("\\n");
+    let huge = post("/v1/predict", &predict_body(&block));
+    let valid = post("/v1/predict", &predict_body("add rcx, rax"));
+    let refuse = |addr: SocketAddr| {
+        let (status, body) = one_shot(addr, &nested);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("recursion limit"), "{body}");
+        let (status, body, elapsed) = time_from_last_byte(addr, &huge);
+        assert_eq!(status, 413, "{body}");
+        assert!(body.contains("/v1/predict accepts at most 256 instructions"), "{body}");
+        assert!(elapsed < Duration::from_secs(1), "413 took {elapsed:?}");
+    };
+    refuse(fleet.router.addr());
+    refuse(fleet.shards[0].addr());
+    let (status, body) = one_shot(fleet.router.addr(), &valid);
+    assert_eq!(status, 200, "{body}");
+
+    // With no shard left, refusals still come from the router, and a
+    // usable request gets the 503 that proves nothing else answered.
+    for server in fleet.shards {
+        server.shutdown();
+    }
+    refuse(fleet.router.addr());
+    let (status, body) = one_shot(fleet.router.addr(), &valid);
+    assert_eq!(status, 503, "{body}");
     fleet.router.shutdown();
 }
 

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use comet_isa::{BasicBlock, Microarch};
 use comet_models::{CostModel, CrudeModel, ModelError};
 use comet_serve::server::BoxedModel;
-use comet_serve::{ModelKind, ServeConfig, Server};
+use comet_serve::{wire, ModelKind, ServeConfig, Server};
 use serde_json::Value;
 
 /// A model whose queries block until the test releases a gate. Lets a
@@ -446,6 +446,31 @@ fn deeply_nested_json_gets_a_400_and_the_server_keeps_serving() {
     let (status, body) =
         one_shot(addr, &post("/v1/predict", r#"{"v":1,"block":"add rcx, rax\nnop"}"#));
     assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+/// A predict/explain body whose block holds `insts` instructions.
+fn block_body(insts: usize, extra: &str) -> String {
+    let block = vec!["add rcx, 0x12345"; insts].join("\\n");
+    format!(r#"{{"v":1,"block":"{block}"{extra}}}"#)
+}
+
+#[test]
+fn blocks_over_the_instruction_caps_get_413_and_the_server_keeps_serving() {
+    let server = start_crude(2, 8);
+    let addr = server.addr();
+    // The explain at the cap runs under a deadline only to keep the
+    // test short; a timed-out search still answers 200, degraded.
+    for (path, cap, extra) in [
+        ("/v1/predict", wire::MAX_PREDICT_INSTS, ""),
+        ("/v1/explain", wire::MAX_EXPLAIN_INSTS, r#","deadline_ms":500"#),
+    ] {
+        let (status, body) = one_shot(addr, &post(path, &block_body(cap + 1, extra)));
+        assert_eq!(status, 413, "{path}: {body}");
+        assert!(body.contains(&format!("{path} accepts at most {cap} instructions")), "{body}");
+        let (status, body) = one_shot(addr, &post(path, &block_body(cap, extra)));
+        assert_eq!(status, 200, "{path}: {body}");
+    }
     server.shutdown();
 }
 
